@@ -9,6 +9,12 @@
 //! core the absolute scale is ~100× smaller, but the per-shape ratios
 //! (and the packed-vs-seed speedup) are the tracked quantity.
 //!
+//! The conv lowering (`im2col` and its adjoint `col2im`) gets rows of its
+//! own at the `hep_small` conv shapes (batch 2) and the
+//! `ClimateNet::small` encoder and decoder shapes (batch 4): the time of
+//! one batch and the rate in col elements per ns. They carry no assert —
+//! the host is too noisy for a timing gate.
+//!
 //! Each GEMM shape is timed once per *detected ISA* (baseline SSE2
 //! always; AVX2 where the host reports it) through the runtime-dispatch
 //! layer, plus an int8 `gemm_i8` row per ISA on the serving-relevant
@@ -27,7 +33,10 @@
 
 use scidl_bench::{csv, fnum, markdown_table};
 use scidl_nn::{Conv2d, Layer};
-use scidl_tensor::{gemm_i8_with_isa, gemm_unpacked, gemm_with_isa, Isa, Shape4, TensorRng, Transpose};
+use scidl_tensor::{
+    col2im, gemm_i8_with_isa, gemm_unpacked, gemm_with_isa, im2col, ConvGeometry, Isa, Shape4,
+    TensorRng, Transpose,
+};
 use std::time::Instant;
 
 /// `(label, ta, tb, m, n, k)` — conv-lowered GEMM shapes (see the
@@ -49,6 +58,28 @@ const CONV_LAYERS: &[(&str, usize, usize, usize, usize, usize, usize)] = &[
     ("hep_conv_128to128_k3", 128, 128, 14, 3, 1, 4),
     ("climate_enc_16to64_k5s2", 16, 64, 64, 5, 2, 4),
 ];
+
+/// `(label, geometry, batch)` — the lowering geometries of the benchmarked
+/// nets. A deconv row is the mirror conv geometry its layer lowers with:
+/// deconv output plane and channels, lowered back to the deconv input
+/// plane.
+const LOWERINGS: &[(&str, ConvGeometry, usize)] = &[
+    ("hep_conv1", square(3, 32, 3, 1, 1), 2),
+    ("hep_conv2", square(8, 16, 3, 1, 1), 2),
+    ("hep_conv3", square(16, 8, 3, 1, 1), 2),
+    ("climate_enc1", square(4, 64, 5, 2, 2), 4),
+    ("climate_enc2", square(8, 32, 5, 2, 2), 4),
+    ("climate_enc3", square(16, 16, 5, 2, 2), 4),
+    ("climate_dec1", square(16, 16, 4, 2, 1), 4),
+    ("climate_dec2", square(8, 32, 4, 2, 1), 4),
+    ("climate_dec3", square(4, 64, 4, 2, 1), 4),
+];
+
+/// Lowering geometry of a square `hw x hw` plane (`cout` does not enter
+/// the lowering).
+const fn square(cin: usize, hw: usize, k: usize, stride: usize, pad: usize) -> ConvGeometry {
+    ConvGeometry { cin, cout: 1, h: hw, w: hw, kh: k, kw: k, stride, pad }
+}
 
 fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     f(); // warm-up: populates the pack workspace pool
@@ -104,9 +135,11 @@ fn main() {
             csv_rows.push(vec![
                 name,
                 dims.clone(),
+                "GF/s".into(),
                 fnum(packed, 3),
                 fnum(seed, 3),
                 fnum(packed / seed, 3),
+                String::new(),
             ]);
         }
     }
@@ -149,9 +182,11 @@ fn main() {
             csv_rows.push(vec![
                 name,
                 dims.clone(),
+                "GOP/s".into(),
                 fnum(rate, 3),
                 fnum(scalar, 3),
                 fnum(rate / scalar, 3),
+                String::new(),
             ]);
         }
     }
@@ -175,12 +210,65 @@ fn main() {
             String::from("-"),
             String::from("-"),
         ]);
-        csv_rows.push(vec![format!("conv/{label}"), dims, fnum(rate, 3), String::new(), String::new()]);
+        csv_rows.push(vec![
+            format!("conv/{label}"),
+            dims,
+            "GF/s".into(),
+            fnum(rate, 3),
+            String::new(),
+            String::new(),
+            fnum(secs * 1e6, 2),
+        ]);
+    }
+
+    let mut lower_rows: Vec<Vec<String>> = Vec::new();
+    for &(label, geo, batch) in LOWERINGS {
+        let item_len = geo.cin * geo.h * geo.w;
+        let mut rng = TensorRng::new(17);
+        let image: Vec<f32> = (0..batch * item_len).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
+        let col_len = geo.col_rows() * geo.col_cols();
+        let mut col = vec![0.0f32; col_len];
+        let mut back = vec![0.0f32; image.len()];
+        let elems = batch * col_len;
+        // Repeat the batch to ≥ ~4M elements per timed rep so the clock's
+        // granularity does not show.
+        let iters = (4_000_000 / elems).max(1);
+        let dims = format!("{batch}x{}x{}x{} k{}s{}p{}", geo.cin, geo.h, geo.w, geo.kh, geo.stride, geo.pad);
+        let im2col_s = best_secs(reps, || {
+            for _ in 0..iters {
+                for item in image.chunks_exact(item_len) {
+                    im2col(&geo, item, &mut col);
+                }
+            }
+        }) / iters as f64;
+        let col2im_s = best_secs(reps, || {
+            for _ in 0..iters {
+                for item in back.chunks_exact_mut(item_len) {
+                    col2im(&geo, &col, item);
+                }
+            }
+        }) / iters as f64;
+        for (op, secs) in [("im2col", im2col_s), ("col2im", col2im_s)] {
+            let name = format!("{op}/{label}");
+            let (rate, us) = (elems as f64 / secs / 1e9, secs * 1e6);
+            lower_rows.push(vec![
+                name.clone(),
+                dims.clone(),
+                elems.to_string(),
+                format!("{} us", fnum(us, 1)),
+                format!("{} elem/ns", fnum(rate, 3)),
+            ]);
+            let csv_row = [name.as_str(), &dims, "elem/ns", &fnum(rate, 3), "", "", &fnum(us, 2)];
+            csv_rows.push(csv_row.iter().map(|c| c.to_string()).collect());
+        }
     }
 
     let headers = ["kernel", "shape", "packed", "seed", "speedup"];
     let table = markdown_table(&headers, &rows);
     println!("{table}");
+    let lower_table = markdown_table(&["lowering", "shape", "col elements", "time", "rate"], &lower_rows);
+    println!("{lower_table}");
+    println!("(lowering rows: one whole batch, best of the reps; rate = col elements per ns)");
     println!(
         "(packed = register-tiled packed GEMM through the runtime ISA dispatch; \
          seed = pre-packing axpy baseline; gemm_i8 rows use the scalar int8 kernel \
@@ -211,13 +299,14 @@ fn main() {
     }
 
     std::fs::create_dir_all("results").ok();
-    let csv_text = csv(&["kernel", "shape", "packed_gflops", "seed_gflops", "speedup"], &csv_rows);
+    let csv_text = csv(&["kernel", "shape", "unit", "rate", "seed_rate", "speedup", "time_us"], &csv_rows);
     match std::fs::write("results/kernels.csv", &csv_text) {
         Ok(()) => println!("written to results/kernels.csv"),
         Err(e) => println!("(could not write results/kernels.csv: {e})"),
     }
     let txt = format!(
-        "Kernel throughput (one container core; paper's KNL nodes: ~2 TFLOP/s/node)\n\n{table}"
+        "Kernel throughput (one container core; paper's KNL nodes: ~2 TFLOP/s/node)\n\n{table}\n\
+         Conv lowering (one whole batch, best of the reps; rate = col elements per ns)\n\n{lower_table}"
     );
     match std::fs::write("results/kernels.txt", &txt) {
         Ok(()) => println!("written to results/kernels.txt"),

@@ -165,11 +165,14 @@ impl Layer for Conv2d {
         let mut out = Tensor::zeros(oshape);
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
 
-        // For small-to-medium col matrices, parallelise over batch items
-        // (mirroring the per-node OpenMP parallelism of the paper's
-        // kernels); huge cols (climate first layers) stay sequential with
-        // a shared scratch buffer so the GEMM parallelises internally and
-        // memory stays bounded.
+        // Small-to-medium col matrices are split over batch items through
+        // rayon's `par_chunks_mut`, the shape of the per-node OpenMP
+        // parallelism of the paper's kernels. The vendored `rayon` is
+        // sequential, so today both branches run the items one after the
+        // other on one core; the split only decides scratch use (a pooled
+        // buffer per worker vs one shared buffer). Huge cols (climate
+        // first layers) take the shared-buffer branch so memory stays
+        // bounded.
         let par_batch = ishape.n > 1 && rows * cols <= (1 << 22);
         if par_batch {
             use rayon::prelude::*;

@@ -10,6 +10,64 @@ use scidl_nn::{
 };
 use scidl_tensor::{Shape4, Tensor, TensorRng};
 
+/// Central-difference check of `layer.backward` on the loss
+/// `L = <forward(x), r>` for a random upstream gradient `r`: the input
+/// gradient and every parameter gradient, each along a random direction.
+/// Conv and deconv are linear in their input and in their parameters, so
+/// a large step leaves only rounding error in the difference quotient.
+fn assert_gradients_match_finite_differences(
+    layer: &mut dyn Layer,
+    x: &Tensor,
+    rng: &mut TensorRng,
+) {
+    let y = layer.forward(x);
+    let r = rng.uniform_tensor(y.shape(), -1.0, 1.0);
+    for p in layer.params_mut() {
+        p.zero_grad();
+    }
+    let dx = layer.backward(&r);
+    let dot = |a: &Tensor, b: &Tensor| -> f64 {
+        a.data()
+            .iter()
+            .zip(b.data())
+            .map(|(a, b)| *a as f64 * *b as f64)
+            .sum()
+    };
+    let loss = |layer: &mut dyn Layer, x: &Tensor| dot(&layer.forward(x), &r);
+    let close = |what: &str, analytic: f64, numeric: f64| {
+        assert!(
+            (analytic - numeric).abs() < 2e-3 * (1.0 + analytic.abs()),
+            "input {:?}: {what} gradient: analytic {analytic} vs numeric {numeric}",
+            x.shape(),
+        );
+    };
+    let eps = 0.5f32;
+
+    let dir = rng.uniform_tensor(x.shape(), -1.0, 1.0);
+    let (mut xp, mut xm) = (x.clone(), x.clone());
+    xp.axpy(eps, &dir);
+    xm.axpy(-eps, &dir);
+    let numeric = (loss(layer, &xp) - loss(layer, &xm)) / (2.0 * eps as f64);
+    close("input", dot(&dx, &dir), numeric);
+
+    for i in 0..layer.params().len() {
+        let shape = layer.params()[i].value.shape();
+        let dir = rng.uniform_tensor(shape, -1.0, 1.0);
+        let analytic = dot(&layer.params()[i].grad, &dir);
+        let value = layer.params()[i].value.clone();
+        layer.params_mut()[i].value.axpy(eps, &dir);
+        let lp = loss(layer, x);
+        layer.params_mut()[i].value.axpy(-2.0 * eps, &dir);
+        let lm = loss(layer, x);
+        layer.params_mut()[i].value = value;
+        close(
+            &layer.params()[i].name.clone(),
+            analytic,
+            (lp - lm) / (2.0 * eps as f64),
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -46,6 +104,43 @@ proptest! {
             (analytic - numeric).abs() < 0.05 * (1.0 + analytic.abs()),
             "analytic {analytic} vs numeric {numeric}"
         );
+    }
+
+    /// The climate encoder's 5x5/s2/p2 conv on non-square planes: the y and
+    /// x valid tap ranges of the lowering are computed separately, so a
+    /// swapped or shared range only shows when `h != w`.
+    #[test]
+    fn strided_conv_gradients_on_non_square_planes(
+        n in 1usize..3,
+        cin in 1usize..4,
+        cout in 1usize..4,
+        h in 3usize..12,
+        w in 3usize..12,
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(h != w);
+        let mut rng = TensorRng::new(seed);
+        let mut conv = Conv2d::new("enc", cin, cout, 5, 2, 2, &mut rng);
+        let x = rng.uniform_tensor(Shape4::new(n, cin, h, w), -1.0, 1.0);
+        assert_gradients_match_finite_differences(&mut conv, &x, &mut rng);
+    }
+
+    /// The climate decoder's 4x4/s2/p1 deconv on non-square planes (its
+    /// forward is a col2im, its data gradient an im2col).
+    #[test]
+    fn strided_deconv_gradients_on_non_square_planes(
+        n in 1usize..3,
+        cin in 1usize..4,
+        cout in 1usize..4,
+        h in 1usize..8,
+        w in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(h != w);
+        let mut rng = TensorRng::new(seed);
+        let mut dec = Deconv2d::new("dec", cin, cout, 4, 2, 1, &mut rng);
+        let x = rng.uniform_tensor(Shape4::new(n, cin, h, w), -1.0, 1.0);
+        assert_gradients_match_finite_differences(&mut dec, &x, &mut rng);
     }
 
     /// Conv followed by the matching deconv restores the input shape for

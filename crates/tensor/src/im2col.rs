@@ -42,29 +42,38 @@ impl ConvGeometry {
     /// Output height: `(h + 2*pad - kh) / stride + 1`.
     #[inline]
     pub fn out_h(&self) -> usize {
+        self.assert_kernel_fits();
+        (self.h + 2 * self.pad - self.kh) / self.stride + 1
+    }
+
+    /// Output width: `(w + 2*pad - kw) / stride + 1`.
+    #[inline]
+    pub fn out_w(&self) -> usize {
+        self.assert_kernel_fits();
+        (self.w + 2 * self.pad - self.kw) / self.stride + 1
+    }
+
+    /// Both output extents subtract the kernel from the padded input, so a
+    /// kernel wider *or* taller than the padded plane must be rejected
+    /// before either subtraction can wrap.
+    #[inline]
+    fn assert_kernel_fits(&self) {
         assert!(
-            self.h + 2 * self.pad >= self.kh,
+            self.h + 2 * self.pad >= self.kh && self.w + 2 * self.pad >= self.kw,
             "kernel {}x{} larger than padded input {}x{}",
             self.kh,
             self.kw,
             self.h + 2 * self.pad,
             self.w + 2 * self.pad
         );
-        (self.h + 2 * self.pad - self.kh) / self.stride + 1
     }
 
-    /// Output width.
-    #[inline]
-    pub fn out_w(&self) -> usize {
-        (self.w + 2 * self.pad - self.kw) / self.stride + 1
-    }
-
-    /// Shape of a single input item `(1, cin, h, w)`.
+    /// Shape of an `n`-item input batch `(n, cin, h, w)`.
     pub fn in_shape(&self, n: usize) -> Shape4 {
         Shape4::new(n, self.cin, self.h, self.w)
     }
 
-    /// Shape of a single output item `(1, cout, out_h, out_w)`.
+    /// Shape of an `n`-item output batch `(n, cout, out_h, out_w)`.
     pub fn out_shape(&self, n: usize) -> Shape4 {
         Shape4::new(n, self.cout, self.out_h(), self.out_w())
     }
@@ -96,43 +105,119 @@ impl ConvGeometry {
     }
 }
 
+/// Output positions `[lo, hi)` along one axis whose tap
+/// `o * stride + k - pad` lands inside an input extent of `n`; every other
+/// output position of that tap reads padding. `lo == hi` when the tap only
+/// ever reads padding.
+#[inline]
+fn valid_range(n: usize, k: usize, pad: usize, stride: usize, out: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(k).div_ceil(stride).min(out);
+    let hi = (n + pad).saturating_sub(k).div_ceil(stride).clamp(lo, out);
+    (lo, hi)
+}
+
+/// `dst[j] = src[j * stride]`: the strided gather of one output row's
+/// valid span. `src` is exactly `(dst.len() - 1) * stride + 1` long.
+#[inline]
+fn gather(dst: &mut [f32], src: &[f32], stride: usize) {
+    match stride {
+        1 => dst.copy_from_slice(src),
+        // Every strided layer of the shipped nets is stride 2; a constant
+        // stride lets the compiler vectorise the de-interleave.
+        2 => gather_by(dst, src, 2),
+        _ => gather_by(dst, src, stride),
+    }
+}
+
+#[inline(always)]
+fn gather_by(dst: &mut [f32], src: &[f32], stride: usize) {
+    let (last, head) = dst.split_last_mut().expect("valid span is non-empty");
+    for (d, tap) in head.iter_mut().zip(src.chunks_exact(stride)) {
+        *d = tap[0];
+    }
+    *last = src[src.len() - 1];
+}
+
+/// `dst[j * stride] += src[j]`: the adjoint of [`gather`], with the same
+/// length contract.
+#[inline]
+fn scatter_add(dst: &mut [f32], src: &[f32], stride: usize) {
+    match stride {
+        1 => {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d += v;
+            }
+        }
+        2 => scatter_add_by(dst, src, 2),
+        _ => scatter_add_by(dst, src, stride),
+    }
+}
+
+#[inline(always)]
+fn scatter_add_by(dst: &mut [f32], src: &[f32], stride: usize) {
+    let (last, head) = src.split_last().expect("valid span is non-empty");
+    for (tap, &v) in dst.chunks_exact_mut(stride).zip(head) {
+        tap[0] += v;
+    }
+    dst[dst.len() - 1] += *last;
+}
+
 /// Unrolls one image (`cin * h * w`, NCHW item) into the col matrix
 /// (`col_rows() x col_cols()`, row-major). `col` must be exactly that size.
 /// Out-of-bounds (padding) taps are written as zero.
+///
+/// Each `(c, ky, kx)` row computes once the output rows `[y0, y1)` and
+/// columns `[x0, x1)` whose taps land inside the plane. Padding rows
+/// become slice fills, padding columns zero stores down the column, and
+/// the interior a contiguous copy (stride 1) or a strided gather per
+/// output row, with no bounds test per element. When stride 1 keeps the
+/// plane's width (`ow == w`, "same" padding), the whole interior is a
+/// single copy.
 pub fn im2col(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
     assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
     assert_eq!(col.len(), geo.col_rows() * geo.col_cols(), "col length mismatch");
     let (oh, ow) = (geo.out_h(), geo.out_w());
-    let (h, w) = (geo.h as isize, geo.w as isize);
-    let pad = geo.pad as isize;
-    let stride = geo.stride as isize;
+    let (w, stride, pad) = (geo.w, geo.stride, geo.pad);
 
     let mut row = 0usize;
     for c in 0..geo.cin {
-        let plane = &image[c * geo.h * geo.w..(c + 1) * geo.h * geo.w];
-        for ky in 0..geo.kh as isize {
-            for kx in 0..geo.kw as isize {
+        let plane = &image[c * geo.h * w..(c + 1) * geo.h * w];
+        for ky in 0..geo.kh {
+            let (y0, y1) = valid_range(geo.h, ky, pad, stride, oh);
+            for kx in 0..geo.kw {
+                let (x0, x1) = valid_range(w, kx, pad, stride, ow);
                 let out_row = &mut col[row * oh * ow..(row + 1) * oh * ow];
-                let mut idx = 0usize;
-                for oy in 0..oh as isize {
-                    let iy = oy * stride + ky - pad;
-                    if iy < 0 || iy >= h {
-                        out_row[idx..idx + ow].iter_mut().for_each(|v| *v = 0.0);
-                        idx += ow;
-                        continue;
-                    }
-                    let base = (iy as usize) * geo.w;
-                    for ox in 0..ow as isize {
-                        let ix = ox * stride + kx - pad;
-                        out_row[idx] = if ix < 0 || ix >= w {
-                            0.0
-                        } else {
-                            plane[base + ix as usize]
-                        };
-                        idx += 1;
+                row += 1;
+                if y0 == y1 || x0 == x1 {
+                    out_row.fill(0.0);
+                    continue;
+                }
+                out_row[..y0 * ow].fill(0.0);
+                out_row[y1 * ow..].fill(0.0);
+                let interior = &mut out_row[y0 * ow..y1 * ow];
+                // Input index of the first valid tap.
+                let first = (y0 * stride + ky - pad) * w + x0 * stride + kx - pad;
+                if stride == 1 && ow == w {
+                    // Input and output rows share a pitch, so the valid
+                    // block is one copy; it wraps taps into the padding
+                    // columns, which are zeroed below.
+                    let len = interior.len() - x0 - (ow - x1);
+                    interior[x0..x0 + len].copy_from_slice(&plane[first..first + len]);
+                } else {
+                    let span = (x1 - x0 - 1) * stride + 1;
+                    let bases = (first..).step_by(stride * w);
+                    for (dst, base) in interior.chunks_exact_mut(ow).zip(bases) {
+                        gather(&mut dst[x0..x1], &plane[base..base + span], stride);
                     }
                 }
-                row += 1;
+                // Padding columns (at most `ceil(pad / stride)` per side)
+                // are zeroed down the column: two tiny fills per output
+                // row would cost more than the row's copy.
+                for x in (0..x0).chain(x1..ow) {
+                    for d in interior[x..].iter_mut().step_by(ow) {
+                        *d = 0.0;
+                    }
+                }
             }
         }
     }
@@ -141,37 +226,35 @@ pub fn im2col(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
 /// Adjoint of [`im2col`]: scatter-adds a col matrix back into an image
 /// buffer (`cin * h * w`). The image buffer is *accumulated into*, not
 /// overwritten — callers zero it first when appropriate.
+///
+/// Rows are visited in `(c, ky, kx)` order and within one row every pixel
+/// receives at most one term, so each pixel accumulates its terms in the
+/// same order as a per-element loop would. Padding taps are skipped by the
+/// same hoisted ranges as [`im2col`].
 pub fn col2im(geo: &ConvGeometry, col: &[f32], image: &mut [f32]) {
     assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
     assert_eq!(col.len(), geo.col_rows() * geo.col_cols(), "col length mismatch");
     let (oh, ow) = (geo.out_h(), geo.out_w());
-    let (h, w) = (geo.h as isize, geo.w as isize);
-    let pad = geo.pad as isize;
-    let stride = geo.stride as isize;
+    let (w, stride, pad) = (geo.w, geo.stride, geo.pad);
 
     let mut row = 0usize;
     for c in 0..geo.cin {
-        let plane = &mut image[c * geo.h * geo.w..(c + 1) * geo.h * geo.w];
-        for ky in 0..geo.kh as isize {
-            for kx in 0..geo.kw as isize {
+        let plane = &mut image[c * geo.h * w..(c + 1) * geo.h * w];
+        for ky in 0..geo.kh {
+            let (y0, y1) = valid_range(geo.h, ky, pad, stride, oh);
+            for kx in 0..geo.kw {
+                let (x0, x1) = valid_range(w, kx, pad, stride, ow);
                 let in_row = &col[row * oh * ow..(row + 1) * oh * ow];
-                let mut idx = 0usize;
-                for oy in 0..oh as isize {
-                    let iy = oy * stride + ky - pad;
-                    if iy < 0 || iy >= h {
-                        idx += ow;
-                        continue;
-                    }
-                    let base = (iy as usize) * geo.w;
-                    for ox in 0..ow as isize {
-                        let ix = ox * stride + kx - pad;
-                        if ix >= 0 && ix < w {
-                            plane[base + ix as usize] += in_row[idx];
-                        }
-                        idx += 1;
-                    }
-                }
                 row += 1;
+                if y0 == y1 || x0 == x1 {
+                    continue;
+                }
+                let first = (y0 * stride + ky - pad) * w + x0 * stride + kx - pad;
+                let span = (x1 - x0 - 1) * stride + 1;
+                let bases = (first..).step_by(stride * w);
+                for (src, base) in in_row[y0 * ow..y1 * ow].chunks_exact(ow).zip(bases) {
+                    scatter_add(&mut plane[base..base + span], &src[x0..x1], stride);
+                }
             }
         }
     }
@@ -288,5 +371,41 @@ mod tests {
     fn oversized_kernel_panics() {
         let g = ConvGeometry::new(1, 1, 2, 2, 5, 1, 0);
         let _ = g.out_h();
+    }
+
+    /// A plane tall enough for the kernel but too narrow must be rejected
+    /// too, not wrap to a zero-width (stride 1) or astronomically wide
+    /// (stride ≥ 2) output.
+    #[test]
+    #[should_panic(expected = "larger than padded input")]
+    fn kernel_wider_than_padded_input_panics() {
+        let g = ConvGeometry::new(1, 1, 5, 2, 3, 1, 0);
+        let _ = g.out_w();
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than padded input")]
+    fn kernel_wider_than_padded_input_panics_strided() {
+        let g = ConvGeometry::new(1, 1, 5, 2, 3, 2, 0);
+        let _ = g.out_shape(1);
+    }
+
+    #[test]
+    fn valid_ranges_cover_exactly_the_in_plane_taps() {
+        for n in 1..9 {
+            for k in 0..6 {
+                for pad in 0..6 {
+                    for stride in 1..5 {
+                        let out = 7;
+                        let (lo, hi) = valid_range(n, k, pad, stride, out);
+                        for o in 0..out {
+                            let i = (o * stride + k) as isize - pad as isize;
+                            let inside = i >= 0 && i < n as isize;
+                            assert_eq!(inside, (lo..hi).contains(&o), "n={n} k={k} pad={pad} s={stride} o={o}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

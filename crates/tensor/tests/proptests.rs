@@ -1,5 +1,6 @@
 //! Property-based tests for the tensor substrate: GEMM against a naive
-//! reference, im2col/col2im adjointness, and algebraic identities of the
+//! reference, im2col/col2im adjointness and bit-identity against the
+//! per-element reference lowering, and algebraic identities of the
 //! elementwise kernels.
 
 use proptest::prelude::*;
@@ -44,6 +45,80 @@ fn gemm_ref(
             c[i * n + j] = acc as f32;
         }
     }
+}
+
+/// The per-element im2col reference: bounds-tests every tap. The library
+/// kernel hoists these tests out of its inner loops and must stay
+/// bit-identical to this loop.
+fn im2col_ref(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
+    let (oh, ow) = (geo.out_h(), geo.out_w());
+    let (h, w) = (geo.h as isize, geo.w as isize);
+    let (pad, stride) = (geo.pad as isize, geo.stride as isize);
+    let mut idx = 0usize;
+    for c in 0..geo.cin {
+        let plane = &image[c * geo.h * geo.w..(c + 1) * geo.h * geo.w];
+        for ky in 0..geo.kh as isize {
+            for kx in 0..geo.kw as isize {
+                for oy in 0..oh as isize {
+                    for ox in 0..ow as isize {
+                        let (iy, ix) = (oy * stride + ky - pad, ox * stride + kx - pad);
+                        col[idx] = if iy < 0 || iy >= h || ix < 0 || ix >= w {
+                            0.0
+                        } else {
+                            plane[(iy * w + ix) as usize]
+                        };
+                        idx += 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The per-element col2im reference: the adjoint scatter-add of
+/// [`im2col_ref`], in the same `(c, ky, kx, oy, ox)` order.
+fn col2im_ref(geo: &ConvGeometry, col: &[f32], image: &mut [f32]) {
+    let (oh, ow) = (geo.out_h(), geo.out_w());
+    let (h, w) = (geo.h as isize, geo.w as isize);
+    let (pad, stride) = (geo.pad as isize, geo.stride as isize);
+    let mut idx = 0usize;
+    for c in 0..geo.cin {
+        let plane = &mut image[c * geo.h * geo.w..(c + 1) * geo.h * geo.w];
+        for ky in 0..geo.kh as isize {
+            for kx in 0..geo.kw as isize {
+                for oy in 0..oh as isize {
+                    for ox in 0..ow as isize {
+                        let (iy, ix) = (oy * stride + ky - pad, ox * stride + kx - pad);
+                        if iy >= 0 && iy < h && ix >= 0 && ix < w {
+                            plane[(iy * w + ix) as usize] += col[idx];
+                        }
+                        idx += 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Bit patterns with every NaN mapped to one key. Rust leaves the sign and
+/// payload of a NaN produced by arithmetic unspecified, so `NaN + -NaN`
+/// may keep either operand's sign depending on how the compiler orders a
+/// (vectorised) add; every other result, `±0` and `±Inf` included, is
+/// compared bit for bit.
+fn bits_nan_canonical(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -451,5 +526,60 @@ proptest! {
         let s: f32 = row.iter().sum();
         prop_assert!((s - 1.0).abs() < 1e-4);
         prop_assert!(row.iter().all(|&p| (0.0..=1.0).contains(&p)));
+    }
+}
+
+proptest! {
+    // Cheap cases over a wide geometry space: every padding/stride corner
+    // of the hoisted ranges should come up.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn lowering_is_bit_identical_to_per_element_reference(
+        cin in 1usize..=4,
+        h in 1usize..=12,
+        w in 1usize..=12,
+        k in 1usize..=6,
+        stride in 1usize..=4,
+        pad_frac in 0usize..=6,
+        seed in any::<u64>(),
+    ) {
+        // pad spans 0..=k (pad ≥ k makes whole tap rows read padding);
+        // stride > k skips input pixels entirely.
+        let pad = pad_frac % (k + 1);
+        prop_assume!(h != w && h + 2 * pad >= k && w + 2 * pad >= k);
+        let geo = ConvGeometry::new(cin, 1, h, w, k, stride, pad);
+        let palette = [
+            0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY,
+            1.0, -1.0, 0.5, -2.0, 1.5,
+        ];
+        let mut s = seed | 1;
+        let mut next = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            palette[(s % palette.len() as u64) as usize]
+        };
+        let ilen = cin * h * w;
+        let clen = geo.col_rows() * geo.col_cols();
+        let x: Vec<f32> = (0..ilen).map(|_| next()).collect();
+        let y: Vec<f32> = (0..clen).map(|_| next()).collect();
+        // col2im accumulates: start both from the same non-zero image.
+        let base: Vec<f32> = (0..ilen).map(|_| next()).collect();
+
+        // im2col only moves values, so it is compared bit for bit, NaN
+        // payloads included. Stale contents in the col buffer must be
+        // overwritten everywhere.
+        let mut cx = vec![7.0f32; clen];
+        let mut cx_ref = vec![-7.0f32; clen];
+        im2col(&geo, &x, &mut cx);
+        im2col_ref(&geo, &x, &mut cx_ref);
+        prop_assert_eq!(bits(&cx), bits(&cx_ref), "im2col {:?}", geo);
+
+        let mut xy = base.clone();
+        let mut xy_ref = base;
+        col2im(&geo, &y, &mut xy);
+        col2im_ref(&geo, &y, &mut xy_ref);
+        prop_assert_eq!(bits_nan_canonical(&xy), bits_nan_canonical(&xy_ref), "col2im {:?}", geo);
     }
 }
