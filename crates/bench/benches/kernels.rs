@@ -155,37 +155,6 @@ fn bench_conv_layers(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_winograd_vs_direct(c: &mut Criterion) {
-    use scidl_nn::winograd::winograd_conv3x3;
-    let mut group = c.benchmark_group("conv3x3_algorithms");
-    group.sample_size(10);
-    let mut rng = TensorRng::new(5);
-    let mut conv = Conv2d::new("c", 16, 32, 3, 1, 1, &mut rng);
-    let x = rng.uniform_tensor(Shape4::new(4, 16, 32, 32), -1.0, 1.0);
-    let weight = conv.params()[0].value.clone();
-    let bias: Vec<f32> = conv.params()[1].value.data().to_vec();
-    group.bench_function("im2col_gemm", |b| {
-        b.iter(|| {
-            let y = conv.forward(&x);
-            y.data()[0]
-        })
-    });
-    group.bench_function("winograd_f2x2", |b| {
-        b.iter(|| {
-            let y = winograd_conv3x3(&x, &weight, &bias);
-            y.data()[0]
-        })
-    });
-    group.bench_function("fft_conv", |b| {
-        use scidl_nn::fftconv::fft_conv;
-        b.iter(|| {
-            let y = fft_conv(&x, &weight, &bias, 1);
-            y.data()[0]
-        })
-    });
-    group.finish();
-}
-
 fn bench_deconv_layer(c: &mut Criterion) {
     let mut group = c.benchmark_group("deconv_fwd");
     group.sample_size(10);
@@ -207,7 +176,6 @@ criterion_group!(
     bench_packed_vs_seed,
     bench_im2col,
     bench_conv_layers,
-    bench_winograd_vs_direct,
     bench_deconv_layer
 );
 criterion_main!(benches);

@@ -34,8 +34,7 @@ impl Layer for Relu {
         self.in_shape = input.shape();
         self.mask.clear();
         self.mask.extend(input.data().iter().map(|&x| x > 0.0));
-        let data = input.data().iter().map(|&x| x.max(0.0)).collect();
-        Tensor::from_vec(input.shape(), data)
+        self.infer(input, &mut InferScratch::new())
     }
 
     fn infer(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {

@@ -5,32 +5,12 @@ use scidl_tensor::{
     col2im, gemm, gemm_bias, im2col, ConvGeometry, Shape4, Tensor, TensorRng, Transpose, Workspace,
 };
 
-/// Forward-pass algorithm selection for [`Conv2d`] — the fast-convolution
-/// families the paper names as future work (Sec. VIII-A) are first-class
-/// options. Backward always uses the im2col/GEMM path (the fast
-/// algorithms here implement forward only), which is valid because all
-/// algorithms compute the same function.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ConvAlgorithm {
-    /// im2col lowering + blocked GEMM (the MKL-2017-style default).
-    #[default]
-    Im2colGemm,
-    /// Winograd F(2x2, 3x3) — requires `k == 3`, `stride == 1`,
-    /// `pad == 1` and even spatial dims; falls back to im2col otherwise.
-    Winograd,
-    /// FFT convolution — requires `stride == 1` and `pad < k`; falls
-    /// back to im2col otherwise.
-    Fft,
-}
-
 /// A 2-D convolution with square kernel, symmetric padding and uniform
 /// stride, matching the layers of both paper networks (3x3/s1 for HEP,
 /// 5x5 with strides 1–2 for the climate encoder, 3x3 scoring heads).
 ///
-/// Weights are stored `(cout, cin, k, k)`; the default forward lowers
-/// each batch item through [`im2col`] and a
-/// `(cout) x (cin*k*k) x (oh*ow)` GEMM; Winograd/FFT forwards are
-/// selectable via [`Conv2d::with_algorithm`].
+/// Weights are stored `(cout, cin, k, k)`; the forward lowers each batch
+/// item through [`im2col`] and a `(cout) x (cin*k*k) x (oh*ow)` GEMM.
 pub struct Conv2d {
     name: String,
     cin: usize,
@@ -38,7 +18,6 @@ pub struct Conv2d {
     k: usize,
     stride: usize,
     pad: usize,
-    algorithm: ConvAlgorithm,
     weight: ParamBlock,
     bias: ParamBlock,
     /// Cached input from the last forward (needed for weight gradients).
@@ -70,39 +49,9 @@ impl Conv2d {
             k,
             stride,
             pad,
-            algorithm: ConvAlgorithm::default(),
             weight,
             bias,
             cached_input: None,
-        }
-    }
-
-    /// Selects the forward algorithm (builder style). Incompatible
-    /// geometries silently fall back to im2col at forward time.
-    pub fn with_algorithm(mut self, algorithm: ConvAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// The algorithm the next forward will attempt.
-    pub fn algorithm(&self) -> ConvAlgorithm {
-        self.algorithm
-    }
-
-    /// Whether the configured fast algorithm applies to this input.
-    fn fast_path(&self, ishape: Shape4) -> ConvAlgorithm {
-        match self.algorithm {
-            ConvAlgorithm::Winograd
-                if self.k == 3
-                    && self.stride == 1
-                    && self.pad == 1
-                    && ishape.h.is_multiple_of(2)
-                    && ishape.w.is_multiple_of(2) =>
-            {
-                ConvAlgorithm::Winograd
-            }
-            ConvAlgorithm::Fft if self.stride == 1 && self.pad < self.k => ConvAlgorithm::Fft,
-            _ => ConvAlgorithm::Im2colGemm,
         }
     }
 
@@ -125,6 +74,40 @@ impl Conv2d {
     pub fn cin(&self) -> usize {
         self.cin
     }
+
+    /// Length of the per-item col matrix for an input of this shape.
+    fn col_len(&self, ishape: Shape4) -> usize {
+        let geo = self.geometry(ishape.h, ishape.w);
+        geo.col_rows() * geo.col_cols()
+    }
+
+    /// The one output computation shared by `forward` and `infer`, so
+    /// the two are bit-identical by construction: per batch item, lower
+    /// into `col` (length [`Self::col_len`]) and run one GEMM with the
+    /// bias broadcast fused into its epilogue. Items run one after the
+    /// other on the calling thread.
+    fn lower(&self, input: &Tensor, col: &mut [f32]) -> Tensor {
+        let ishape = input.shape();
+        let geo = self.geometry(ishape.h, ishape.w);
+        let mut out = Tensor::zeros(geo.out_shape(ishape.n));
+        let (rows, cols) = (geo.col_rows(), geo.col_cols());
+        for n in 0..ishape.n {
+            im2col(&geo, input.item(n), col);
+            // out_plane = bias ⊕ W (cout x rows) * col (rows x cols).
+            gemm_bias(
+                Transpose::No,
+                Transpose::No,
+                self.cout,
+                cols,
+                rows,
+                self.weight.value.data(),
+                col,
+                self.bias.value.data(),
+                out.item_mut(n),
+            );
+        }
+        out
+    }
 }
 
 impl Layer for Conv2d {
@@ -138,129 +121,17 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let ishape = input.shape();
-
-        // Fast-algorithm dispatch (Sec. VIII-A's Winograd/FFT kernels).
-        match self.fast_path(ishape) {
-            ConvAlgorithm::Winograd => {
-                let out = crate::winograd::winograd_conv3x3(
-                    input,
-                    &self.weight.value,
-                    self.bias.value.data(),
-                );
-                self.cached_input = Some(input.clone());
-                return out;
-            }
-            ConvAlgorithm::Fft => {
-                let out =
-                    crate::fftconv::fft_conv(input, &self.weight.value, self.bias.value.data(), self.pad);
-                self.cached_input = Some(input.clone());
-                return out;
-            }
-            ConvAlgorithm::Im2colGemm => {}
-        }
-
-        let geo = self.geometry(ishape.h, ishape.w);
-        let oshape = geo.out_shape(ishape.n);
-        let mut out = Tensor::zeros(oshape);
-        let (rows, cols) = (geo.col_rows(), geo.col_cols());
-
-        // Small-to-medium col matrices are split over batch items through
-        // rayon's `par_chunks_mut`, the shape of the per-node OpenMP
-        // parallelism of the paper's kernels. The vendored `rayon` is
-        // sequential, so today both branches run the items one after the
-        // other on one core; the split only decides scratch use (a pooled
-        // buffer per worker vs one shared buffer). Huge cols (climate
-        // first layers) take the shared-buffer branch so memory stays
-        // bounded.
-        let par_batch = ishape.n > 1 && rows * cols <= (1 << 22);
-        if par_batch {
-            use rayon::prelude::*;
-            let item_out = oshape.item_len();
-            let weight = self.weight.value.data();
-            let bias = self.bias.value.data();
-            let cout = self.cout;
-            out.data_mut()
-                .par_chunks_mut(item_out)
-                .enumerate()
-                .for_each(|(n, item)| {
-                    // Pooled per-worker scratch: the first item on each
-                    // worker allocates, every later item (and iteration)
-                    // reuses that worker's parked buffer. im2col writes
-                    // every element, so stale contents are fine.
-                    let mut col = Workspace::take(rows * cols);
-                    im2col(&geo, input.item(n), &mut col);
-                    // Bias broadcast fused into the GEMM epilogue: the
-                    // output plane is written once.
-                    gemm_bias(Transpose::No, Transpose::No, cout, cols, rows, weight, &col, bias, item);
-                });
-        } else {
-            let mut col = Workspace::take(rows * cols);
-            for n in 0..ishape.n {
-                im2col(&geo, input.item(n), &mut col);
-                // out_plane = bias ⊕ W (cout x rows) * col (rows x cols),
-                // bias broadcast fused into the epilogue sweep.
-                gemm_bias(
-                    Transpose::No,
-                    Transpose::No,
-                    self.cout,
-                    cols,
-                    rows,
-                    self.weight.value.data(),
-                    &col,
-                    self.bias.value.data(),
-                    out.item_mut(n),
-                );
-            }
-        }
+        // Pooled scratch: im2col writes every element, so stale contents
+        // are fine.
+        let mut col = Workspace::take(self.col_len(input.shape()));
+        let out = self.lower(input, &mut col);
         self.cached_input = Some(input.clone());
         out
     }
 
     fn infer(&self, input: &Tensor, scratch: &mut InferScratch) -> Tensor {
-        let ishape = input.shape();
-
-        match self.fast_path(ishape) {
-            ConvAlgorithm::Winograd => {
-                return crate::winograd::winograd_conv3x3(
-                    input,
-                    &self.weight.value,
-                    self.bias.value.data(),
-                );
-            }
-            ConvAlgorithm::Fft => {
-                return crate::fftconv::fft_conv(input, &self.weight.value, self.bias.value.data(), self.pad);
-            }
-            ConvAlgorithm::Im2colGemm => {}
-        }
-
-        let geo = self.geometry(ishape.h, ishape.w);
-        let oshape = geo.out_shape(ishape.n);
-        let mut out = Tensor::zeros(oshape);
-        let (rows, cols) = (geo.col_rows(), geo.col_cols());
-
-        // Sequential per-item loop: the same per-item arithmetic as both
-        // forward paths (the parallel path partitions over items without
-        // changing any reduction order), so outputs are bit-identical.
-        scratch.col.resize(rows * cols, 0.0);
-        for n in 0..ishape.n {
-            im2col(&geo, input.item(n), &mut scratch.col);
-            // Same fused-bias GEMM as forward — required for the
-            // bit-identity guarantee (fusing changes which sweep writes
-            // the bias, so both paths must fuse identically).
-            gemm_bias(
-                Transpose::No,
-                Transpose::No,
-                self.cout,
-                cols,
-                rows,
-                self.weight.value.data(),
-                &scratch.col,
-                self.bias.value.data(),
-                out.item_mut(n),
-            );
-        }
-        out
+        scratch.col.resize(self.col_len(input.shape()), 0.0);
+        self.lower(input, &mut scratch.col)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -324,9 +195,8 @@ impl Layer for Conv2d {
     }
 
     fn quantize(&self) -> Option<crate::quant::QuantLayer> {
-        // Always the im2col/GEMM lowering: the fast f32 algorithms have
-        // no exact int8 analogue, and quantized serving is approximate
-        // anyway — the guarded swap's probe threshold is the arbiter.
+        // Quantized serving is approximate — the guarded swap's probe
+        // threshold is the arbiter.
         Some(crate::quant::QuantLayer::Conv2d(crate::quant::QuantConv2d::new(
             self.cin,
             self.cout,
@@ -509,79 +379,28 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_agree_and_train_identically() {
-        let mut xr = TensorRng::new(5150);
-        let x = xr.uniform_tensor(Shape4::new(2, 3, 8, 8), -1.0, 1.0);
+    fn batched_forward_equals_per_item_forwards_bitwise() {
         let mut r = rng();
-        let mut reference = Conv2d::new("c", 3, 8, 3, 1, 1, &mut r);
-        let flat: Vec<f32> = reference.weight.value.data().to_vec();
-        let want = reference.forward(&x);
-        let dref = reference.backward(&Tensor::filled(want.shape(), 1.0));
-        let wgrad_ref = reference.weight.grad.clone();
-
-        for alg in [ConvAlgorithm::Winograd, ConvAlgorithm::Fft] {
-            let mut r2 = rng();
-            let mut conv = Conv2d::new("c", 3, 8, 3, 1, 1, &mut r2).with_algorithm(alg);
-            assert_eq!(conv.weight.value.data(), flat.as_slice(), "same init");
-            let got = conv.forward(&x);
-            assert!(got.max_abs_diff(&want) < 2e-3, "{alg:?} forward mismatch");
-            // Backward (always im2col) produces the same gradients.
-            let dgot = conv.backward(&Tensor::filled(want.shape(), 1.0));
-            assert!(dgot.max_abs_diff(&dref) < 1e-4, "{alg:?} data-grad mismatch");
-            assert!(conv.weight.grad.max_abs_diff(&wgrad_ref) < 1e-3, "{alg:?} weight-grad mismatch");
-        }
-    }
-
-    #[test]
-    fn incompatible_geometry_falls_back_to_im2col() {
-        let mut xr = TensorRng::new(5151);
-        let x = xr.uniform_tensor(Shape4::new(1, 2, 8, 8), -1.0, 1.0);
-        // Stride 2 cannot use Winograd: must silently fall back.
-        let mut r = rng();
-        let mut conv = Conv2d::new("c", 2, 4, 3, 2, 1, &mut r).with_algorithm(ConvAlgorithm::Winograd);
-        let y = conv.forward(&x);
-        let mut r2 = rng();
-        let mut plain = Conv2d::new("c", 2, 4, 3, 2, 1, &mut r2);
-        let y_ref = plain.forward(&x);
-        assert!(y.max_abs_diff(&y_ref) < 1e-5);
-    }
-
-    #[test]
-    fn batch_parallel_path_matches_sequential_path() {
-        // Force both paths on identical data: a big batch of small images
-        // (parallel path) against per-item forwards (sequential path,
-        // batch 1 never parallelises).
-        let mut r = rng();
-        let mut conv_par = Conv2d::new("c", 3, 8, 3, 1, 1, &mut r);
+        let mut conv = Conv2d::new("c", 3, 8, 3, 1, 1, &mut r);
         let x = r.uniform_tensor(Shape4::new(6, 3, 12, 12), -1.0, 1.0);
-        let y_par = conv_par.forward(&x);
+        let y_batch = conv.forward(&x);
         for n in 0..6 {
-            let single = x.batch_slice(n, 1);
-            let y_one = conv_par.forward(&single);
-            let got = y_par.item(n);
-            let want = y_one.item(0);
-            let err = got
-                .iter()
-                .zip(want)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f32, f32::max);
-            assert!(err < 1e-5, "item {n}: max err {err}");
+            let y_one = conv.forward(&x.batch_slice(n, 1));
+            assert_eq!(y_batch.item(n), y_one.item(0), "item {n}");
         }
     }
 
     #[test]
-    fn infer_matches_forward_for_all_algorithms() {
+    fn infer_matches_forward() {
         use crate::layer::InferScratch;
         let mut xr = TensorRng::new(6161);
         let x = xr.uniform_tensor(Shape4::new(3, 3, 8, 8), -1.0, 1.0);
-        for alg in [ConvAlgorithm::Im2colGemm, ConvAlgorithm::Winograd, ConvAlgorithm::Fft] {
-            let mut r = rng();
-            let mut conv = Conv2d::new("c", 3, 8, 3, 1, 1, &mut r).with_algorithm(alg);
-            let want = conv.forward(&x);
-            let mut scratch = InferScratch::new();
-            let got = conv.infer(&x, &mut scratch);
-            assert_eq!(want.data(), got.data(), "{alg:?}: infer must be bit-identical");
-        }
+        let mut r = rng();
+        let mut conv = Conv2d::new("c", 3, 8, 3, 1, 1, &mut r);
+        let want = conv.forward(&x);
+        let mut scratch = InferScratch::new();
+        let got = conv.infer(&x, &mut scratch);
+        assert_eq!(want.data(), got.data(), "infer must be bit-identical");
     }
 
     #[test]

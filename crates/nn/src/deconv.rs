@@ -75,6 +75,51 @@ impl Deconv2d {
         debug_assert_eq!(geo.out_w(), w);
         geo
     }
+
+    /// Length of the per-item col matrix for an input of this shape.
+    fn col_len(&self, ishape: Shape4) -> usize {
+        let geo = self.mirror_geometry(ishape.h, ishape.w);
+        geo.col_rows() * geo.col_cols()
+    }
+
+    /// The one output computation shared by `forward` and `infer`, so
+    /// the two are bit-identical by construction: per batch item,
+    /// `col = W^T x` into `col` (length [`Self::col_len`]), scattered
+    /// into the zeroed output plane by [`col2im`], plus the bias.
+    fn lower(&self, input: &Tensor, col: &mut [f32]) -> Tensor {
+        let ishape = input.shape();
+        let geo = self.mirror_geometry(ishape.h, ishape.w);
+        let oshape = self.out_shape(ishape);
+        let mut out = Tensor::zeros(oshape);
+        let (rows, cols) = (geo.col_rows(), geo.col_cols()); // rows = cout*k*k, cols = h*w
+        let plane = oshape.plane_len();
+        for n in 0..ishape.n {
+            // col = W^T (cout*k*k x cin) * x (cin x h*w)
+            gemm(
+                Transpose::Yes,
+                Transpose::No,
+                rows,
+                cols,
+                self.cin,
+                1.0,
+                self.weight.value.data(),
+                input.item(n),
+                0.0,
+                col,
+            );
+            col2im(&geo, col, out.item_mut(n));
+            let item = out.item_mut(n);
+            for c in 0..self.cout {
+                let b = self.bias.value.data()[c];
+                if b != 0.0 {
+                    for v in &mut item[c * plane..(c + 1) * plane] {
+                        *v += b;
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 impl Layer for Deconv2d {
@@ -89,81 +134,17 @@ impl Layer for Deconv2d {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let ishape = input.shape();
-        let geo = self.mirror_geometry(ishape.h, ishape.w);
-        let oshape = self.out_shape(ishape);
-        let mut out = Tensor::zeros(oshape);
-        let (rows, cols) = (geo.col_rows(), geo.col_cols()); // rows = cout*k*k, cols = h*w
         // Pooled scratch: the beta=0 GEMM overwrites every element, so the
         // stale pooled contents never leak into the output.
-        let mut col = Workspace::take(rows * cols);
-
-        for n in 0..ishape.n {
-            // col = W^T (cout*k*k x cin) * x (cin x h*w)
-            gemm(
-                Transpose::Yes,
-                Transpose::No,
-                rows,
-                cols,
-                self.cin,
-                1.0,
-                self.weight.value.data(),
-                input.item(n),
-                0.0,
-                &mut col,
-            );
-            // Scatter into the (zeroed) output plane.
-            col2im(&geo, &col, out.item_mut(n));
-            // Bias per output channel.
-            let plane = oshape.plane_len();
-            let item = out.item_mut(n);
-            for c in 0..self.cout {
-                let b = self.bias.value.data()[c];
-                if b != 0.0 {
-                    for v in &mut item[c * plane..(c + 1) * plane] {
-                        *v += b;
-                    }
-                }
-            }
-        }
+        let mut col = Workspace::take(self.col_len(input.shape()));
+        let out = self.lower(input, &mut col);
         self.cached_input = Some(input.clone());
         out
     }
 
     fn infer(&self, input: &Tensor, scratch: &mut InferScratch) -> Tensor {
-        let ishape = input.shape();
-        let geo = self.mirror_geometry(ishape.h, ishape.w);
-        let oshape = self.out_shape(ishape);
-        let mut out = Tensor::zeros(oshape);
-        let (rows, cols) = (geo.col_rows(), geo.col_cols());
-        scratch.col.resize(rows * cols, 0.0);
-
-        for n in 0..ishape.n {
-            gemm(
-                Transpose::Yes,
-                Transpose::No,
-                rows,
-                cols,
-                self.cin,
-                1.0,
-                self.weight.value.data(),
-                input.item(n),
-                0.0,
-                &mut scratch.col,
-            );
-            col2im(&geo, &scratch.col, out.item_mut(n));
-            let plane = oshape.plane_len();
-            let item = out.item_mut(n);
-            for c in 0..self.cout {
-                let b = self.bias.value.data()[c];
-                if b != 0.0 {
-                    for v in &mut item[c * plane..(c + 1) * plane] {
-                        *v += b;
-                    }
-                }
-            }
-        }
-        out
+        scratch.col.resize(self.col_len(input.shape()), 0.0);
+        self.lower(input, &mut scratch.col)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -52,22 +52,7 @@ impl Layer for Dense {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let os = self.out_shape(input.shape());
-        let n = input.shape().n;
-        let mut out = Tensor::zeros(os);
-        // Y (n x out) = b ⊕ X (n x in) * W^T (in x out); the per-column
-        // bias broadcast is fused into the GEMM epilogue (one C sweep).
-        gemm_bias_cols(
-            Transpose::No,
-            Transpose::Yes,
-            n,
-            self.output_len,
-            self.input_len,
-            input.data(),
-            self.weight.value.data(),
-            self.bias.value.data(),
-            out.data_mut(),
-        );
+        let out = self.infer(input, &mut InferScratch::new());
         self.cached_input = Some(input.clone());
         out
     }
@@ -76,7 +61,8 @@ impl Layer for Dense {
         let os = self.out_shape(input.shape());
         let n = input.shape().n;
         let mut out = Tensor::zeros(os);
-        // Same fused path as forward, keeping infer bit-identical.
+        // Y (n x out) = b ⊕ X (n x in) * W^T (in x out); the per-column
+        // bias broadcast is fused into the GEMM epilogue (one C sweep).
         gemm_bias_cols(
             Transpose::No,
             Transpose::Yes,

@@ -49,7 +49,6 @@ pub mod arch;
 pub mod conv;
 pub mod deconv;
 pub mod dense;
-pub mod fftconv;
 pub mod flops;
 pub mod layer;
 pub mod loss;
@@ -61,7 +60,6 @@ pub mod quant;
 pub mod residual;
 pub mod schedule;
 pub mod solver;
-pub mod winograd;
 
 pub use activation::Relu;
 pub use conv::Conv2d;

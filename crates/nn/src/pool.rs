@@ -159,19 +159,8 @@ impl Layer for GlobalAvgPool {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let is = input.shape();
-        self.in_shape = is;
-        let mut out = Tensor::zeros(self.out_shape(is));
-        let plane = is.plane_len();
-        let inv = 1.0 / plane as f32;
-        for n in 0..is.n {
-            for c in 0..is.c {
-                let base = (n * is.c + c) * plane;
-                let s: f32 = input.data()[base..base + plane].iter().sum();
-                out.data_mut()[n * is.c + c] = s * inv;
-            }
-        }
-        out
+        self.in_shape = input.shape();
+        self.infer(input, &mut InferScratch::new())
     }
 
     fn infer(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {

@@ -207,9 +207,7 @@ impl QuantDense {
 
 /// The int8 serving form of a convolution: quantized `(cout, cin*k*k)`
 /// weights fed to [`gemm_i8`] against a quantized-and-transposed im2col
-/// buffer. Always uses the im2col lowering (the Winograd/FFT transforms
-/// are f32 algorithms; their transform-space arithmetic has no exact
-/// int8 analogue here).
+/// buffer, the int8 twin of [`crate::Conv2d`]'s im2col + GEMM lowering.
 pub struct QuantConv2d {
     cin: usize,
     cout: usize,

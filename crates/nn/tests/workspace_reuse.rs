@@ -44,22 +44,22 @@ fn pooled_scratch_is_pointer_stable_across_same_size_takes() {
 
 #[test]
 fn rayon_parallel_forward_never_aliases_live_buffers() {
-    // The par_batch conv path takes one Workspace buffer per in-flight
-    // item. Correctness under any rayon schedule requires live buffers
-    // to be distinct; we verify through the result: the parallel batch
-    // forward must equal per-item forwards exactly.
+    // The conv forward holds one Workspace col buffer across the batch
+    // while the GEMM takes and returns its own pack buffers. Live buffers
+    // must be distinct; we verify through the result: the batch forward
+    // must equal per-item forwards exactly.
     let mut rng = TensorRng::new(11);
     let mut conv = Conv2d::new("c", 2, 4, 3, 1, 1, &mut rng);
     let x = rng.uniform_tensor(Shape4::new(8, 2, 10, 10), -1.0, 1.0);
     Workspace::clear();
-    let batch = conv.forward(&x); // batch > 1 and small cols → par_batch path
+    let batch = conv.forward(&x);
     for i in 0..8 {
         let single = x.batch_slice(i, 1);
         let one = conv.forward(&single);
         assert_eq!(
             batch.item(i),
             one.item(0),
-            "item {i}: parallel batch path diverged from sequential"
+            "item {i}: batch forward diverged from per-item forward"
         );
     }
 }

@@ -41,7 +41,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::registry::{ModelRegistry, ServingModel, SwapError};
-use crate::server::{Client, InferResult, ServeError, Server, ServerConfig, ServerReport};
+use crate::server::{
+    xorshift64, Client, InferResult, ServeError, Server, ServerConfig, ServerReport,
+};
 use crate::sim::{ServiceModel, SimConfig};
 use scidl_cluster::faults::FaultPlan;
 use scidl_core::metrics::LatencyRecorder;
@@ -57,13 +59,6 @@ const SALT_PRIORITY: u64 = 0x9E37_79B9_7F4A_7C15;
 const SALT_CANARY: u64 = 0xD1B5_4A32_D192_ED03;
 const SALT_P2C_A: u64 = 0xA076_1D64_78BD_642F;
 const SALT_P2C_B: u64 = 0xE703_7ED1_A0B4_28DB;
-
-fn xorshift64(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
 
 /// Deterministic uniform draw in `[0, 1)` from `(seed, salt, ordinal)`.
 /// Both the threaded router and the simulator route request `ordinal`

@@ -559,7 +559,8 @@ impl Client {
     }
 }
 
-fn xorshift64(mut x: u64) -> u64 {
+/// One xorshift64 step: the retry jitter here and the fleet's routing draws.
+pub(crate) fn xorshift64(mut x: u64) -> u64 {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
